@@ -7,8 +7,8 @@ configurations this package ships —
 * ``batch_legacy``     — batch engine with the vectorised tier off
   (``vectorize=False``: the per-item chunk loop),
 * ``batch``            — batch engine with the vectorised fast tier,
-* ``pipeline_pickle`` / ``pipeline_shm`` — 4-shard process pipeline
-  under both chunk transports,
+* ``pipeline_shm``     — 4-shard process pipeline (shared-memory chunk
+  transport),
 * ``threads_2w`` / ``threads_4w`` — the thread-parallel shared-sketch
   engine at 2 and 4 updater threads, head-to-head against the process
   pipeline at the same worker counts (``pipeline_shm_2w`` /
@@ -17,8 +17,8 @@ configurations this package ships —
 and records them in ``BENCH_throughput.json`` at the repo root.
 
 Gating: absolute items/s numbers track the host, so CI would flake on
-them; the *ratios* (vectorised speedup over the per-item loop, shm
-speedup over pickle) are what the optimizations own and are
+them; the *ratios* (vectorised speedup over the per-item loop, threads
+over the shm pipeline) are what the optimizations own and are
 machine-portable.  The test fails when a ratio regresses more than
 ``REGRESSION_PCT`` below the committed baseline
 (``benchmarks/baselines/throughput_baseline.json``) or drops through
@@ -42,7 +42,6 @@ REGRESSION_PCT = 15.0
 #: Hard floors, below which the PR-4 optimizations are considered
 #: broken regardless of what the committed baseline says.
 MIN_BATCH_SPEEDUP = 1.7
-MIN_SHM_SPEEDUP = 1.2
 #: The threads engine's whole pitch is skipping the per-chunk
 #: serialize/copy/deserialize transport tax, so at equal worker count
 #: it must at least match the shm pipeline.
@@ -105,9 +104,9 @@ def test_throughput_smoke():
         k: v for k, v in dims.items() if k != "candidate_fraction"
     }
 
-    def run_pipeline(transport, workers=NUM_SHARDS):
+    def run_pipeline(workers=NUM_SHARDS):
         pipe = ParallelPipeline(
-            criteria, workers, engine="batch", transport=transport,
+            criteria, workers, engine="batch",
             memory_bytes=MEMORY_BYTES, chunk_items=PIPELINE_CHUNK_ITEMS,
             **pipeline_dims,
         )
@@ -145,22 +144,12 @@ def test_throughput_smoke():
         reports["batch"].reported_keys == reports["scalar"].reported_keys
     )
 
-    pipeline_best = {}
-    pipeline_reports = {}
-    for transport in ("pickle", "shm"):
-        seconds = float("inf")
-        for _ in range(ROUNDS):
-            result = run_pipeline(transport)
-            seconds = min(seconds, result.seconds)
-            pipeline_reports[transport] = result.reported_keys
-        pipeline_best[transport] = seconds
-    assert pipeline_reports["shm"] == pipeline_reports["pickle"]
-
     # Equal-core head-to-head: threads vs the shm pipeline at the same
-    # worker count (pipeline_best["shm"] above IS the 4-worker run).
+    # worker count.
     headtohead_best = {}
     for name, run in (
-        ("pipeline_shm_2w", lambda: run_pipeline("shm", workers=2)),
+        ("pipeline_shm", lambda: run_pipeline()),
+        ("pipeline_shm_2w", lambda: run_pipeline(workers=2)),
         ("threads_2w", lambda: run_threads(2)),
         ("threads_4w", lambda: run_threads(4)),
     ):
@@ -173,8 +162,7 @@ def test_throughput_smoke():
         "scalar": scale / best["scalar"],
         "batch_legacy": scale / best["batch_legacy"],
         "batch": scale / best["batch"],
-        "pipeline_pickle": 4 * scale / pipeline_best["pickle"],
-        "pipeline_shm": 4 * scale / pipeline_best["shm"],
+        "pipeline_shm": 4 * scale / headtohead_best["pipeline_shm"],
         "pipeline_shm_2w": 4 * scale / headtohead_best["pipeline_shm_2w"],
         "threads_2w": 4 * scale / headtohead_best["threads_2w"],
         "threads_4w": 4 * scale / headtohead_best["threads_4w"],
@@ -185,9 +173,6 @@ def test_throughput_smoke():
         ),
         "batch_speedup_vs_scalar": (
             items_per_s["batch"] / items_per_s["scalar"]
-        ),
-        "shm_speedup_vs_pickle": (
-            items_per_s["pipeline_shm"] / items_per_s["pipeline_pickle"]
         ),
         "threads_speedup_vs_shm": (
             items_per_s["threads_4w"] / items_per_s["pipeline_shm"]
@@ -214,10 +199,6 @@ def test_throughput_smoke():
     assert ratios["batch_speedup_vs_legacy"] >= MIN_BATCH_SPEEDUP, (
         f"vectorised fast tier only {ratios['batch_speedup_vs_legacy']:.2f}x "
         f"over the per-item chunk loop (floor {MIN_BATCH_SPEEDUP}x)"
-    )
-    assert ratios["shm_speedup_vs_pickle"] >= MIN_SHM_SPEEDUP, (
-        f"shm transport only {ratios['shm_speedup_vs_pickle']:.2f}x over "
-        f"pickle (floor {MIN_SHM_SPEEDUP}x)"
     )
     assert ratios["threads_speedup_vs_shm"] >= MIN_THREADS_SPEEDUP, (
         f"threads engine only {ratios['threads_speedup_vs_shm']:.2f}x over "

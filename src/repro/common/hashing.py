@@ -88,10 +88,28 @@ def canonical_key(key: KeyLike) -> int:
             acc = (acc ^ canonical_key(part)) * _FNV_PRIME & _MASK64
             acc = mix64(acc)
         return acc
-    raise ParameterError(
-        f"unsupported key type {type(key).__name__}; "
+    raise _unsupported_key(type(key).__name__)
+
+
+def _unsupported_key(type_name: str) -> ParameterError:
+    return ParameterError(
+        f"unsupported key type {type_name}; "
         "use int, str, bytes or a tuple of those"
     )
+
+
+def int_key_array(keys) -> np.ndarray:
+    """``keys`` as an ``int64`` array for the integer-keyed engines.
+
+    Float keys raise the same :class:`ParameterError` the hashing of a
+    float key raises in the scalar and batch engines, instead of being
+    truncated by the cast.  The check reads only the dtype, so it is
+    O(1) on arrays.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind == "f" and keys.size:
+        raise _unsupported_key(keys.dtype.name)
+    return keys.astype(np.int64, copy=False)
 
 
 def canonical_keys(keys: Iterable[KeyLike]) -> np.ndarray:

@@ -304,6 +304,11 @@ class QuantileFilter:
             keys = keys.tolist()
         if hasattr(values, "tolist"):
             values = values.tolist()
+        if len(keys) != len(values):
+            raise ParameterError(
+                f"keys and values length mismatch: {len(keys)} vs "
+                f"{len(values)}"
+            )
         insert = self.insert
         return [
             report

@@ -32,11 +32,8 @@ Three layers, smallest first:
   estimator cost stays off the hot path.
 
 Tuning guidance, the P² vs KLL trade-off discussion and the operations
-runbook live in ``docs/adaptive-thresholds.md``.  The earlier
-:mod:`repro.detection.calibration` module (a scalar-filter-only
-wrapper that optionally *resets* on large moves instead of
-retargeting in place) remains as the minimal convenience; this module
-is the production path.
+runbook live in ``docs/adaptive-thresholds.md``.  This module is the
+package's one way to adapt ``T``.
 
 >>> controller = ThresholdController(
 ...     initial_threshold=100.0, target_quantile=0.5,

@@ -78,6 +78,7 @@ from typing import List, Optional, Set
 import numpy as np
 
 from repro.common.errors import ParameterError
+from repro.common.hashing import int_key_array
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
 from repro.core.vectorized import DEFAULT_CHUNK_SIZE, BatchQuantileFilter
@@ -247,7 +248,7 @@ class ConcurrentQuantileFilter:
         Chunks through the striped commit path exactly as a lone
         updater thread would; returns the deduplicated reported keys.
         """
-        trace = Trace(np.asarray(keys), np.asarray(values))
+        trace = Trace(int_key_array(keys), np.asarray(values))
         for chunk_keys, chunk_values in trace.iter_chunks(self.flush_items):
             self._flush(chunk_keys, chunk_values)
         return self.reported_keys
@@ -668,7 +669,7 @@ class ThreadIngest:
         oversized inputs stream through in ``flush_items``-sized chunks
         via :meth:`~repro.streams.model.Trace.iter_chunks`.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = int_key_array(keys)
         values = np.asarray(values, dtype=np.float64)
         if keys.shape[0] == 0:
             return

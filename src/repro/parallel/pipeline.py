@@ -8,14 +8,12 @@ sharded.ShardRouter` — the same bucket-affine partition the in-process
 paths report identical key sets), and collects newly-reported keys
 through a **bounded** result queue.
 
-Chunk transport is selectable: ``transport="pickle"`` (default)
-pickles each ndarray slice into the worker queue; ``transport="shm"``
-writes slices into a per-worker :mod:`multiprocessing.shared_memory`
-slot ring (:class:`~repro.parallel.transport.ShmSlotRing`) and sends
-only ``(slot_id, length, chunk_id)`` descriptors — zero-copy on the
-worker side, with credit-based slot return riding the report acks.
-Both transports deliver byte-identical chunk contents, so reported
-keys do not depend on the choice.
+Chunks cross the process boundary through shared memory: each worker
+owns a :mod:`multiprocessing.shared_memory` slot ring
+(:class:`~repro.parallel.transport.ShmSlotRing`), the master copies a
+chunk's slice into a free slot, and the queue carries only a
+``(chunk_id, slot_id, length)`` descriptor — zero-copy on the worker
+side, with credit-based slot return riding the report acks.
 
 Consistency model (also documented in ``docs/operations.md``):
 
@@ -79,6 +77,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.common.errors import ReproError, ParameterError
+from repro.common.hashing import int_key_array
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
@@ -97,19 +96,11 @@ LOGGER = logging.getLogger("repro.pipeline")
 #: Default items per pipeline chunk.
 DEFAULT_CHUNK_ITEMS = 16_384
 
-#: Supported chunk transports (see the module docstring and
-#: ``docs/performance.md``).
-TRANSPORTS = ("pickle", "shm")
-
 #: Engines the pipeline can run: the process-per-shard engines plus the
 #: in-process thread engine (one shared
 #: :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter`, one
 #: updater thread per "shard", no chunk transport at all).
 PIPELINE_ENGINES = ENGINES + ("threads",)
-
-#: Placeholder array for empty shm chunk slices (never read beyond its
-#: zero length, so one instance serves both keys and values).
-_EMPTY_CHUNK = np.empty(0, dtype=np.int64)
 
 
 class PipelineError(ReproError):
@@ -194,20 +185,21 @@ def _build_worker_filter(config: dict, on_report=None):
 
 
 def _worker_main(
-    shard_id: int, config: dict, in_queue, out_queue, shm_info=None
+    shard_id: int, config: dict, in_queue, out_queue, ring_spec: Tuple
 ) -> None:
-    """Worker loop: build the shard filter, consume chunks until stop."""
+    """Worker loop: build the shard filter, consume chunks until stop.
+
+    ``ring_spec`` is ``(name, num_slots, slot_items)`` of this shard's
+    shared-memory slot ring.  ``multiprocessing`` children (fork and
+    spawn alike) share the master's resource tracker, so the worker
+    attaches without untracking — untracking would erase the master's
+    claim on the block.
+    """
     ring = None
     recorder = None
     try:
         engine = config["engine"]
-        if shm_info is not None:
-            ring = ShmSlotRing.attach(
-                shm_info["name"],
-                shm_info["num_slots"],
-                shm_info["slot_items"],
-                untrack=shm_info["untrack"],
-            )
+        ring = ShmSlotRing.attach(*ring_spec)
         report_records: Optional[List[dict]] = (
             [] if config.get("provenance") else None
         )
@@ -278,20 +270,15 @@ def _worker_main(
             else:
                 message = in_queue.get()
             kind = message[0]
-            if kind == "chunk" or kind == "chunk_shm":
-                slot_id = -1
-                if kind == "chunk_shm":
-                    # Descriptor-only message: the chunk data sits in
-                    # this worker's shared-memory slot; slot_id == -1
-                    # marks an empty slice (no slot consumed).
-                    _, chunk_id, slot_id, length = message
-                    if slot_id >= 0:
-                        keys, values = ring.read(slot_id, length)
-                    else:
-                        keys = values = _EMPTY_CHUNK
-                else:
-                    _, chunk_id, keys, values = message
-                if keys.shape[0]:
+            if kind == "chunk":
+                # Descriptor-only message: the chunk data sits in this
+                # worker's shared-memory slot; slot_id == -1 marks an
+                # empty slice (no slot consumed).  Both engines copy
+                # what they keep (the recorder and the scalar engine
+                # via tolist), so no view outlives the ack below.
+                _, chunk_id, slot_id, length = message
+                if length:
+                    keys, values = ring.read(slot_id, length)
                     insert_start = time.perf_counter()
                     if recorder is not None:
                         # The recorder IS the insert path while
@@ -311,7 +298,7 @@ def _worker_main(
                             args={
                                 "shard": shard_id,
                                 "chunk": chunk_id,
-                                "items": int(keys.shape[0]),
+                                "items": length,
                             },
                         )
                 if chunk_counter is not None:
@@ -336,30 +323,30 @@ def _worker_main(
             elif kind == "snapshot":
                 _, sync_id = message
                 if engine == "batch":
-                    snapshot = batch_filter_to_scalar(filt)
+                    payload = batch_filter_to_scalar(filt)
                 else:
                     # Ship a sanitized copy: hooks, callbacks and the
                     # stats registry hold closures that cannot pickle.
-                    snapshot = copy.copy(filt)
-                    snapshot.trace_hook = None
-                    snapshot._on_report = None
-                    if hasattr(snapshot, "_stats_registry"):
-                        snapshot._stats_registry = None
-                out_queue.put(("snapshot", sync_id, shard_id, snapshot))
+                    payload = copy.copy(filt)
+                    payload.trace_hook = None
+                    payload._on_report = None
+                    if hasattr(payload, "_stats_registry"):
+                        payload._stats_registry = None
+                out_queue.put(("reply", sync_id, shard_id, payload))
             elif kind == "stats":
                 _, sync_id = message
-                stats = registry.snapshot() if registry is not None else {}
-                out_queue.put(("stats", sync_id, shard_id, stats))
+                payload = registry.snapshot() if registry is not None else {}
+                out_queue.put(("reply", sync_id, shard_id, payload))
             elif kind == "dump":
                 # Alert-triggered forensics: dump this shard's recorder
                 # window at a consistent between-chunks cut (the request
                 # rides the chunk FIFO like stats/snapshot syncs).
                 _, sync_id, reason = message
-                path = (
+                payload = (
                     str(recorder.dump(reason)) if recorder is not None
                     else None
                 )
-                out_queue.put(("dump", sync_id, shard_id, path))
+                out_queue.put(("reply", sync_id, shard_id, payload))
             elif kind == "stop":
                 final_stats = (
                     registry.snapshot() if registry is not None else None
@@ -440,13 +427,13 @@ def _thread_worker_main(
                          time.perf_counter(), -1)
                     )
             elif kind == "retarget":
-                # Barrier protocol: flush, ack on the result queue (the
-                # master drains while it waits, so a full queue cannot
-                # deadlock the rendezvous), park until the master has
-                # applied the new T on the shared filter.
+                # Barrier protocol: flush, reply on the result queue
+                # (the master drains while it waits, so a full queue
+                # cannot deadlock the rendezvous), park until the master
+                # has applied the new T on the shared filter.
                 _, sync_id, release = message
                 ingest.flush()
-                out_queue.put(("barrier", sync_id, shard_id))
+                out_queue.put(("reply", sync_id, shard_id, None))
                 release.wait()
             elif kind == "stop":
                 ingest.flush()
@@ -476,10 +463,10 @@ class ParallelPipeline:
     sharing one :class:`~repro.parallel.concurrent.
     ConcurrentQuantileFilter` (exposed as :attr:`filter`): same
     ``feed``/``finish``/``retarget`` API, but chunks cross no process
-    boundary at all — no pickle, no shared-memory ring, no per-chunk
-    copy, and no master-side key hashing either: whole chunks go to
-    one updater round-robin, because the shared filter's stripe locks
-    make any-thread/any-key safe (see the equal-core head-to-head in
+    boundary at all — no shared-memory ring, no per-chunk copy, and no
+    master-side key hashing either: whole chunks go to one updater
+    round-robin, because the shared filter's stripe locks make
+    any-thread/any-key safe (see the equal-core head-to-head in
     ``benchmarks/test_throughput_smoke.py``).  Ordered
     delivery, tracing, provenance and flight recording stay
     process-engine features and raise ``ParameterError`` up front.
@@ -498,12 +485,11 @@ class ParallelPipeline:
     mode:
         ``"unordered"`` (default) or ``"ordered"`` report delivery.
     transport:
-        ``"pickle"`` (default) ships each chunk slice through the
-        worker queue as pickled ndarrays; ``"shm"`` copies slices into
-        a per-worker shared-memory slot ring and sends only
-        ``(slot_id, length, chunk_id)`` descriptors, with slot credits
-        returned on the report acks (see ``docs/performance.md``).
-        Reported keys are identical either way.
+        Accepted for compatibility, not a choice: process engines take
+        ``None`` or ``"shm"`` (the shared-memory slot ring, the only
+        process transport — see ``docs/performance.md``); anything else,
+        and any value with ``engine="threads"``, raises
+        ``ParameterError``.
     chunk_items:
         Items per chunk fed to the workers (also the shm slot size).
     queue_capacity:
@@ -543,7 +529,7 @@ class ParallelPipeline:
         strategy: str = "comparative",
         seed: int = 0,
         mode: str = "unordered",
-        transport: str = "pickle",
+        transport: Optional[str] = None,
         chunk_items: int = DEFAULT_CHUNK_ITEMS,
         queue_capacity: int = 4,
         stall_timeout: float = 30.0,
@@ -572,7 +558,7 @@ class ParallelPipeline:
         if self._threads:
             unsupported = [
                 ("mode='ordered'", mode == "ordered"),
-                ("transport='shm'", transport == "shm"),
+                (f"transport={transport!r}", transport is not None),
                 ("collect_trace", collect_trace or tracer is not None),
                 ("collect_provenance", collect_provenance),
                 ("record", record),
@@ -582,7 +568,7 @@ class ParallelPipeline:
                 raise ParameterError(
                     f"engine='threads' does not support {', '.join(bad)}: "
                     "updater threads share one filter in this process, so "
-                    "there is no chunk transport to choose, report "
+                    "there is no chunk transport, report "
                     "delivery is inherently unordered (commits race), and "
                     "the per-worker trace/provenance/recorder hooks are "
                     "process-engine features — use engine='batch' or "
@@ -597,9 +583,11 @@ class ParallelPipeline:
             raise ParameterError(
                 f"mode must be 'unordered' or 'ordered', got {mode!r}"
             )
-        if transport not in TRANSPORTS:
+        if transport not in (None, "shm"):
             raise ParameterError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
+                f"transport must be None or 'shm' (the shared-memory "
+                f"slot ring is the only process transport), got "
+                f"{transport!r}"
             )
         if chunk_items < 1:
             raise ParameterError(f"chunk_items must be >= 1, got {chunk_items}")
@@ -632,7 +620,6 @@ class ParallelPipeline:
         self.num_shards = num_shards
         self.engine = engine
         self.mode = mode
-        self.transport = transport
         self.chunk_items = chunk_items
         self.queue_capacity = queue_capacity
         self.stall_timeout = stall_timeout
@@ -731,8 +718,8 @@ class ParallelPipeline:
         self.workers: List = []
         self._in_queues: List = []
         self._out_queue = None
-        # Shared-memory transport state (transport="shm" only): one
-        # slot ring per shard plus the master-side free-slot credits.
+        # Process-engine transport state: one shared-memory slot ring
+        # per shard plus the master-side free-slot credits.
         self._rings: Optional[List[ShmSlotRing]] = None
         self._free_slots: List[List[int]] = []
         self._started = False
@@ -749,11 +736,8 @@ class ParallelPipeline:
         self._next_release = 0
         # shard -> (items, reports, stats, trace_events, report_records)
         self._done: Dict[int, Tuple] = {}
-        self._snapshots: Dict[int, List] = {}
-        self._stat_views: Dict[int, Dict[int, dict]] = {}
-        self._barrier_acks: Dict[int, Set[int]] = {}
-        # sync_id -> {shard_id: bundle path or None} for dump requests.
-        self._dump_acks: Dict[int, Dict[int, Optional[str]]] = {}
+        # sync_id -> {shard_id: reply payload} for _broadcast requests.
+        self._replies: Dict[int, Dict[int, object]] = {}
 
         # Master-side telemetry: always registered (the counters are a
         # few adds per *chunk*, not per item), rendered by repro stats.
@@ -824,11 +808,11 @@ class ParallelPipeline:
         if self._started:
             return self
         if self._threads:
-            return self._start_threads()
-        self._out_queue = self._ctx.Queue(
-            maxsize=max(8, 2 * self.num_shards * self.queue_capacity)
-        )
-        if self.transport == "shm":
+            make_queue = queue_module.Queue
+            known: Set = set()
+            known_lock = threading.Lock()
+        else:
+            make_queue = self._ctx.Queue
             # queue_capacity chunks may sit in the input queue plus one
             # in flight in the worker and one being written by the
             # master — hence capacity + 2 slots can never wrap onto a
@@ -841,73 +825,32 @@ class ParallelPipeline:
             self._free_slots = [
                 list(range(num_slots)) for _ in range(self.num_shards)
             ]
-        for shard_id in range(self.num_shards):
-            in_queue = self._ctx.Queue(maxsize=self.queue_capacity)
-            shm_info = None
-            if self._rings is not None:
-                ring = self._rings[shard_id]
-                shm_info = dict(
-                    name=ring.name,
-                    num_slots=ring.num_slots,
-                    slot_items=ring.slot_items,
-                    # multiprocessing children (fork AND spawn — the
-                    # tracker fd rides the spawn preparation data)
-                    # share the master's resource tracker; untracking
-                    # would erase the master's claim on the block.
-                    untrack=False,
-                )
-            worker = self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    shard_id, self._config, in_queue, self._out_queue,
-                    shm_info,
-                ),
-                daemon=True,
-                name=f"qf-shard-{shard_id}",
-            )
-            worker.start()
-            self._in_queues.append(in_queue)
-            self.workers.append(worker)
-            self.stats.gauge_fn(
-                "pipeline_queue_depth",
-                (lambda s=shard_id: self._queue_depth(s)),
-                help="Chunks waiting in this shard's input queue.",
-                labels={"shard": str(shard_id)},
-            )
-        self._started = True
-        LOGGER.info(
-            "pipeline started",
-            extra={
-                "event": "start",
-                "shards": self.num_shards,
-                "engine": self.engine,
-                "mode": self.mode,
-                "transport": self.transport,
-                "chunk_items": self.chunk_items,
-                "trace": self.collect_trace,
-                "provenance": self.collect_provenance,
-            },
-        )
-        return self
-
-    def _start_threads(self) -> "ParallelPipeline":
-        """Spawn the updater threads sharing :attr:`filter`."""
-        self._out_queue = queue_module.Queue(
+        self._out_queue = make_queue(
             maxsize=max(8, 2 * self.num_shards * self.queue_capacity)
         )
-        known: Set = set()
-        known_lock = threading.Lock()
         for shard_id in range(self.num_shards):
-            in_queue = queue_module.Queue(maxsize=self.queue_capacity)
-            worker = threading.Thread(
-                target=_thread_worker_main,
-                args=(
-                    shard_id, self.filter, in_queue, self._out_queue,
-                    known, known_lock,
-                ),
-                daemon=True,
-                name=f"qf-thread-{shard_id}",
-            )
+            in_queue = make_queue(maxsize=self.queue_capacity)
+            if self._threads:
+                worker = threading.Thread(
+                    target=_thread_worker_main,
+                    args=(
+                        shard_id, self.filter, in_queue, self._out_queue,
+                        known, known_lock,
+                    ),
+                    daemon=True,
+                    name=f"qf-thread-{shard_id}",
+                )
+            else:
+                ring = self._rings[shard_id]
+                worker = self._ctx.Process(
+                    target=_worker_main,
+                    args=(
+                        shard_id, self._config, in_queue, self._out_queue,
+                        (ring.name, ring.num_slots, ring.slot_items),
+                    ),
+                    daemon=True,
+                    name=f"qf-shard-{shard_id}",
+                )
             worker.start()
             self._in_queues.append(in_queue)
             self.workers.append(worker)
@@ -925,7 +868,7 @@ class ParallelPipeline:
                 "shards": self.num_shards,
                 "engine": self.engine,
                 "mode": self.mode,
-                "transport": "none",
+                "transport": "none" if self._threads else "shm",
                 "chunk_items": self.chunk_items,
                 "trace": self.collect_trace,
                 "provenance": self.collect_provenance,
@@ -955,15 +898,15 @@ class ParallelPipeline:
                 "pipeline already finished; build a new ParallelPipeline "
                 "to process another stream"
             )
-        if not self._started:
-            self.start()
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = int_key_array(keys)
         values = np.asarray(values, dtype=np.float64)
         if keys.shape[0] != values.shape[0]:
             raise ParameterError(
                 f"keys and values length mismatch: {keys.shape[0]} vs "
                 f"{values.shape[0]}"
             )
+        if not self._started:
+            self.start()
         feed_start = time.perf_counter() if self.tracer is not None else 0.0
         first_chunk = self._chunk_id
         for start in range(0, keys.shape[0], self.chunk_items):
@@ -988,23 +931,14 @@ class ParallelPipeline:
                 # chunk: uniform acks keep ordered-mode accounting
                 # trivial.
                 for shard_id, (sub_keys, sub_values) in enumerate(slices):
-                    if self._rings is not None:
-                        length = int(sub_keys.shape[0])
-                        slot_id = -1
-                        if length:
-                            slot_id = self._acquire_slot(shard_id)
-                            self._rings[shard_id].write(
-                                slot_id, sub_keys, sub_values
-                            )
-                        self._put(
-                            shard_id,
-                            ("chunk_shm", chunk_id, slot_id, length),
+                    length = int(sub_keys.shape[0])
+                    slot_id = -1
+                    if length:
+                        slot_id = self._acquire_slot(shard_id)
+                        self._rings[shard_id].write(
+                            slot_id, sub_keys, sub_values
                         )
-                    else:
-                        self._put(
-                            shard_id,
-                            ("chunk", chunk_id, sub_keys, sub_values),
-                        )
+                    self._put(shard_id, ("chunk", chunk_id, slot_id, length))
             self.items_fed += int(chunk_keys.shape[0])
             self._chunks_counter.inc()
             self._items_counter.inc(int(chunk_keys.shape[0]))
@@ -1046,30 +980,12 @@ class ParallelPipeline:
         self._config["criteria"] = self.criteria
         if self._threads:
             # Rendezvous: every thread flushes its ingest buffer and
-            # acks over the result queue (the master keeps draining, so
-            # a full queue cannot deadlock the barrier), the master
-            # applies the retarget once on the shared filter, then
-            # releases the threads.  No chunk flush straddles the swap.
-            sync_id = self._sync_id
-            self._sync_id += 1
+            # replies, the master applies the retarget once on the
+            # shared filter, then releases the threads.  No chunk flush
+            # straddles the swap.
             release = threading.Event()
-            for shard_id in range(self.num_shards):
-                self._put(shard_id, ("retarget", sync_id, release))
-            deadline = time.monotonic() + self.stall_timeout
             try:
-                while len(self._barrier_acks.get(sync_id, ())) < self.num_shards:
-                    if self._drain(block=True):
-                        deadline = time.monotonic() + self.stall_timeout
-                    else:
-                        self._check_workers()
-                        if time.monotonic() > deadline:
-                            self._fail(
-                                PipelineStallError(
-                                    f"retarget sync {sync_id} incomplete "
-                                    f"after {self.stall_timeout}s"
-                                )
-                            )
-                self._barrier_acks.pop(sync_id, None)
+                self._broadcast("retarget", release)
                 self.filter.retarget(float(threshold))
             finally:
                 release.set()
@@ -1103,18 +1019,9 @@ class ParallelPipeline:
             collect_start = (
                 time.perf_counter() if self.tracer is not None else 0.0
             )
-            deadline = time.monotonic() + self.stall_timeout
-            while len(self._done) < self.num_shards:
-                if not self._drain(block=True):
-                    self._check_workers()
-                    if time.monotonic() > deadline:
-                        raise PipelineStallError(
-                            f"workers did not finish within "
-                            f"{self.stall_timeout}s "
-                            f"({len(self._done)}/{self.num_shards} done)"
-                        )
-                else:
-                    deadline = time.monotonic() + self.stall_timeout
+            self._await(
+                lambda: len(self._done) == self.num_shards, "shutdown"
+            )
             self._drain(block=False)  # late stragglers (per-worker FIFO)
             self._release_ready(flush=True)
             for worker in self.workers:
@@ -1255,7 +1162,6 @@ class ParallelPipeline:
     def running(self) -> bool:
         """Whether the pipeline is between :meth:`start` and :meth:`finish`."""
         return self._started and not self._finished
-        self._started = False
 
     # ------------------------------------------------------------------
     # master-side plumbing
@@ -1287,13 +1193,27 @@ class ParallelPipeline:
     def _acquire_slot(self, shard_id: int) -> int:
         """Pop a free shm slot for ``shard_id``, draining acks while dry.
 
-        Mirrors :meth:`_put`'s anti-deadlock shape: slot credits come
-        back on the result queue, so blocking here without draining
-        would deadlock against a worker blocked on that same queue.
+        Slot credits come back on the result queue, so waiting here
+        without draining would deadlock against a worker blocked on
+        that same queue.
         """
         free = self._free_slots[shard_id]
+        if not free:
+            self._await(
+                lambda: bool(free), f"shm slot return from shard {shard_id}"
+            )
+        return free.pop()
+
+    def _await(self, done: Callable[[], bool], what: str) -> None:
+        """Drain results until ``done()``; the one master-side wait loop.
+
+        Every consumed message restarts the ``stall_timeout`` clock;
+        between empty drains the workers' liveness is checked, so a
+        dead worker raises :class:`WorkerCrashError` and a wedged one
+        :class:`PipelineStallError` — never a hang.
+        """
         deadline = time.monotonic() + self.stall_timeout
-        while not free:
+        while not done():
             if self._drain(block=True):
                 deadline = time.monotonic() + self.stall_timeout
             else:
@@ -1301,11 +1221,27 @@ class ParallelPipeline:
                 if time.monotonic() > deadline:
                     self._fail(
                         PipelineStallError(
-                            f"shard {shard_id} returned no shm slot for "
-                            f"{self.stall_timeout}s"
+                            f"{what} incomplete after {self.stall_timeout}s"
                         )
                     )
-        return free.pop()
+
+    def _broadcast(self, kind: str, *args) -> List:
+        """Send ``(kind, sync_id, *args)`` to every worker; await replies.
+
+        The request rides each worker's input FIFO behind the chunks
+        already queued, so every reply is a consistent between-chunks
+        cut.  Returns the reply payloads in shard order.
+        """
+        sync_id = self._sync_id
+        self._sync_id += 1
+        for shard_id in range(self.num_shards):
+            self._put(shard_id, (kind, sync_id) + args)
+        self._await(
+            lambda: len(self._replies.get(sync_id, ())) == self.num_shards,
+            f"{kind} sync {sync_id}",
+        )
+        replies = self._replies.pop(sync_id)
+        return [replies[shard_id] for shard_id in range(self.num_shards)]
 
     def _drain(self, block: bool) -> bool:
         """Move every available result message into master state.
@@ -1323,7 +1259,7 @@ class ParallelPipeline:
             kind = message[0]
             if kind == "reports":
                 _, chunk_id, shard_id, keys, posted_at, slot_id = message
-                if slot_id >= 0 and self._rings is not None:
+                if slot_id >= 0:
                     self._free_slots[shard_id].append(slot_id)
                 self._queue_delay_hist.record(
                     max(0.0, time.perf_counter() - posted_at)
@@ -1334,18 +1270,9 @@ class ParallelPipeline:
                 )
                 self._acks[chunk_id] = self._acks.get(chunk_id, 0) + 1
                 self._release_ready()
-            elif kind == "snapshot":
-                _, sync_id, shard_id, snapshot = message
-                self._snapshots.setdefault(sync_id, []).append(snapshot)
-            elif kind == "barrier":
-                _, sync_id, shard_id = message
-                self._barrier_acks.setdefault(sync_id, set()).add(shard_id)
-            elif kind == "stats":
-                _, sync_id, shard_id, stats_snap = message
-                self._stat_views.setdefault(sync_id, {})[shard_id] = stats_snap
-            elif kind == "dump":
-                _, sync_id, shard_id, path = message
-                self._dump_acks.setdefault(sync_id, {})[shard_id] = path
+            elif kind == "reply":
+                _, sync_id, shard_id, payload = message
+                self._replies.setdefault(sync_id, {})[shard_id] = payload
             elif kind == "done":
                 (_, shard_id, items, reports, stats_snap, trace_events,
                  report_records) = message
@@ -1398,68 +1325,38 @@ class ParallelPipeline:
 
     def _collect_merged_view(self) -> QuantileFilter:
         """Request shard snapshots and merge them into one global filter."""
+        merge_start = time.perf_counter() if self.tracer is not None else 0.0
         if self._threads:
             # The shared filter already IS the global view; snapshot it
             # consistently (all stripe locks + vague lock) and convert
             # to the mergeable scalar form the process path returns.
             merged = batch_filter_to_scalar(self.filter.as_batch())
-            self.last_merged = merged
-            self._merges_counter.inc()
-            LOGGER.info(
-                "merged global view collected",
-                extra={
-                    "event": "merge_view",
-                    "sync": self._sync_id,
-                    "items_fed": self.items_fed,
-                },
+        else:
+            merged = QuantileFilter(
+                self.criteria,
+                num_buckets=self._config["num_buckets"],
+                vague_width=self._config["vague_width"],
+                bucket_size=self._config["bucket_size"],
+                depth=self._config["depth"],
+                fp_bits=self._config["fp_bits"],
+                counter_kind="float",
+                strategy=self._config["strategy"],
+                seed=self._config["seed"],
             )
-            if self._on_merge is not None:
-                self._on_merge(merged, self.items_fed)
-            return merged
-        merge_start = time.perf_counter() if self.tracer is not None else 0.0
-        sync_id = self._sync_id
-        self._sync_id += 1
-        for shard_id in range(self.num_shards):
-            self._put(shard_id, ("snapshot", sync_id))
-        deadline = time.monotonic() + self.stall_timeout
-        while len(self._snapshots.get(sync_id, [])) < self.num_shards:
-            if self._drain(block=True):
-                deadline = time.monotonic() + self.stall_timeout
-            else:
-                self._check_workers()
-                if time.monotonic() > deadline:
-                    self._fail(
-                        PipelineStallError(
-                            f"snapshot sync {sync_id} incomplete after "
-                            f"{self.stall_timeout}s"
-                        )
-                    )
-        snapshots = self._snapshots.pop(sync_id)
-        self._merges_counter.inc()
-        merged = QuantileFilter(
-            self.criteria,
-            num_buckets=self._config["num_buckets"],
-            vague_width=self._config["vague_width"],
-            bucket_size=self._config["bucket_size"],
-            depth=self._config["depth"],
-            fp_bits=self._config["fp_bits"],
-            counter_kind="float",
-            strategy=self._config["strategy"],
-            seed=self._config["seed"],
-        )
-        for snapshot in snapshots:
-            merged.merge(snapshot)
+            for snapshot in self._broadcast("snapshot"):
+                merged.merge(snapshot)
         self.last_merged = merged
+        self._merges_counter.inc()
         if self.tracer is not None:
             self.tracer.add_span(
                 "pipeline_merge", merge_start, time.perf_counter(),
-                args={"sync": sync_id, "items_fed": self.items_fed},
+                args={"sync": self._sync_id - 1, "items_fed": self.items_fed},
             )
         LOGGER.info(
             "merged global view collected",
             extra={
                 "event": "merge_view",
-                "sync": sync_id,
+                "sync": self._sync_id - 1,
                 "items_fed": self.items_fed,
             },
         )
@@ -1487,32 +1384,11 @@ class ParallelPipeline:
         if self._threads:
             # One registry observes the one shared filter; scrapes are
             # seqlock reads, so no worker round-trip is needed.
-            self._stat_views_counter.inc()
-            return self._aggregate_worker_stats(
-                [self._filter_registry.snapshot()]
-            )
-        sync_id = self._sync_id
-        self._sync_id += 1
-        for shard_id in range(self.num_shards):
-            self._put(shard_id, ("stats", sync_id))
-        deadline = time.monotonic() + self.stall_timeout
-        while len(self._stat_views.get(sync_id, {})) < self.num_shards:
-            if self._drain(block=True):
-                deadline = time.monotonic() + self.stall_timeout
-            else:
-                self._check_workers()
-                if time.monotonic() > deadline:
-                    self._fail(
-                        PipelineStallError(
-                            f"stats sync {sync_id} incomplete after "
-                            f"{self.stall_timeout}s"
-                        )
-                    )
-        views = self._stat_views.pop(sync_id)
+            views = [self._filter_registry.snapshot()]
+        else:
+            views = self._broadcast("stats")
         self._stat_views_counter.inc()
-        return self._aggregate_worker_stats(
-            [views[s] for s in range(self.num_shards)]
-        )
+        return self._aggregate_worker_stats(views)
 
     def request_incident_dump(self, reason: str) -> List[str]:
         """Ask every recording shard worker for an incident bundle.
@@ -1532,28 +1408,8 @@ class ParallelPipeline:
             raise PipelineError("pipeline is not running")
         if self._threads or not self.record:
             return []
-        sync_id = self._sync_id
-        self._sync_id += 1
-        for shard_id in range(self.num_shards):
-            self._put(shard_id, ("dump", sync_id, str(reason)))
-        deadline = time.monotonic() + self.stall_timeout
-        while len(self._dump_acks.get(sync_id, {})) < self.num_shards:
-            if self._drain(block=True):
-                deadline = time.monotonic() + self.stall_timeout
-            else:
-                self._check_workers()
-                if time.monotonic() > deadline:
-                    self._fail(
-                        PipelineStallError(
-                            f"dump sync {sync_id} incomplete after "
-                            f"{self.stall_timeout}s"
-                        )
-                    )
-        acks = self._dump_acks.pop(sync_id)
-        return [
-            acks[shard] for shard in sorted(acks)
-            if acks[shard] is not None
-        ]
+        paths = self._broadcast("dump", str(reason))
+        return [path for path in paths if path is not None]
 
     def _aggregate_worker_stats(
         self, per_shard: List[Dict[str, float]]

@@ -1,28 +1,22 @@
 """Zero-copy shared-memory chunk transport for the parallel pipeline.
 
-The default queue transport pickles every ``(keys, values)`` ndarray
-pair into the worker's ``multiprocessing.Queue`` — one serialize, one
-pipe write, one deserialize per chunk per shard.  At pipeline chunk
-rates that serialization is pure overhead: the arrays are plain
-fixed-width numbers that both sides could read in place.
-
-:class:`ShmSlotRing` removes it.  Each worker gets one
+Pipeline chunks are plain fixed-width numbers that the master and a
+worker can both read in place, so the chunk bytes never pass through a
+queue.  Each worker gets one :class:`ShmSlotRing`: a
 ``multiprocessing.shared_memory`` block carved into ``num_slots``
 fixed-size chunk slots (an ``int64`` key plane followed by a
 ``float64`` value plane).  The master copies a chunk slice into a free
-slot once; the queue then carries only a tiny ``("chunk_shm",
-chunk_id, slot_id, length)`` descriptor, and the worker maps the slot
-as numpy views without copying anything.  Slot reuse is credit-based:
-a slot stays owned by the in-flight chunk until the worker's report
+slot once; the queue then carries only a tiny ``("chunk", chunk_id,
+slot_id, length)`` descriptor, and the worker maps the slot as numpy
+views without copying anything.  Slot reuse is credit-based: a slot
+stays owned by the in-flight chunk until the worker's report
 acknowledgement for that chunk returns the ``slot_id`` to the master's
 free list, so a ring of ``queue_capacity + 2`` slots can never be
 overwritten while a worker still reads it.
 
 Lifecycle: the master creates and ultimately unlinks every block;
-workers attach by name and must *not* register the segment with their
-own :mod:`multiprocessing.resource_tracker` (Python registers attached
-segments too, which would unlink the master's block when the first
-worker exits — see :meth:`ShmSlotRing.attach`).
+workers attach by name and only close their mapping (see
+:meth:`ShmSlotRing.attach` for the resource-tracker rules).
 """
 
 from __future__ import annotations

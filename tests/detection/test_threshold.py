@@ -151,6 +151,18 @@ class TestControllerGuards:
         assert 15.0 <= controller.threshold <= 35.0
         assert decision.items_seen == 50
 
+    def test_kll_backend_holds_target_fraction(self):
+        # ~5 % of a U(0, 100) stream sits above ~95.
+        controller = ThresholdController(
+            1.0, 0.95, backend="kll", deadband=0.0, warmup_items=1_000,
+            min_dwell_items=1_000, seed=2,
+        )
+        rng = np.random.default_rng(1)
+        for v in rng.uniform(0.0, 100.0, size=20_000).tolist():
+            controller.observe(v)
+        assert controller.retargets >= 1
+        assert controller.threshold == pytest.approx(95.0, abs=3.0)
+
     def test_dwell_bounds_retarget_rate(self):
         controller = ThresholdController(
             1000.0, 0.5, warmup_items=10, min_dwell_items=100, deadband=0.0

@@ -4,8 +4,9 @@ These tests exercise the process-backed :class:`ParallelPipeline`
 end-to-end: agreement with the deterministic in-process sharded filter,
 ordered-mode determinism, periodic merged views, and — the part unit
 tests cannot cover — the failure model.  A worker killed mid-stream
-must surface as a :class:`WorkerCrashError` within the stall budget and
-leave no live child processes behind; a hang here is a bug.
+must surface as a :class:`WorkerCrashError` within the stall budget, a
+wedged (stopped) worker as a :class:`PipelineStallError`, and neither
+may leave live child processes behind; a hang here is a bug.
 """
 
 import os
@@ -15,7 +16,11 @@ import time
 import pytest
 
 from repro.core.criteria import Criteria
-from repro.parallel.pipeline import ParallelPipeline, WorkerCrashError
+from repro.parallel.pipeline import (
+    ParallelPipeline,
+    PipelineStallError,
+    WorkerCrashError,
+)
 from repro.parallel.sharded import ShardedQuantileFilter
 from repro.streams.caida_like import CaidaLikeConfig, generate_caida_like_trace
 
@@ -36,6 +41,7 @@ def _assert_no_live_workers(pipe):
 
 
 def test_pipeline_matches_inprocess_sharding(trace):
+    # The scalar engine's agreement is pinned in test_shm_transport.py.
     sharded = ShardedQuantileFilter(CRITERIA, 4, engine="batch", **GEOMETRY)
     expected = sharded.process(trace.keys, trace.values)
 
@@ -43,9 +49,12 @@ def test_pipeline_matches_inprocess_sharding(trace):
     result = pipe.run(trace.keys, trace.values)
 
     assert result.items == len(trace)
-    assert sum(result.per_shard_items) == len(trace)
+    assert result.per_shard_items == sharded.shard_items()
     assert result.reported_keys == expected
     assert result.reported_keys == sharded.reported_keys
+    assert result.per_shard_reports == [
+        shard.report_count for shard in sharded.shards
+    ]
     assert sum(result.per_shard_reports) == sharded.report_count
     _assert_no_live_workers(pipe)
 
@@ -120,5 +129,36 @@ def test_worker_crash_surfaces_error_not_hang(trace):
         assert "shard 1" in message
         assert "died" in message
     finally:
+        pipe.close()
+    _assert_no_live_workers(pipe)
+
+
+def test_wedged_worker_surfaces_stall_not_hang(trace):
+    pipe = ParallelPipeline(
+        CRITERIA, 2, engine="batch", chunk_items=8_192, stall_timeout=2.0,
+        collect_stats=True, **GEOMETRY,
+    )
+    pipe.start()
+    pipe.feed(trace.keys[:16_384], trace.values[:16_384])
+    # One stats round trip: both workers are up and idle on their
+    # input queues (not holding a queue lock) before one is stopped.
+    pipe.collect_stats_view()
+    wedged = pipe.workers[1].pid
+    os.kill(wedged, signal.SIGSTOP)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(PipelineStallError) as excinfo:
+            pipe.collect_stats_view()
+        elapsed = time.perf_counter() - start
+        # Alive but silent: no crash, the stall budget decides.  The
+        # slack covers close(): a stopped process ignores SIGTERM, so
+        # it is reaped by the SIGKILL after the 5 s join.
+        assert pipe.stall_timeout <= elapsed < pipe.stall_timeout + 10.0
+        assert "stats sync" in str(excinfo.value)
+    finally:
+        try:
+            os.kill(wedged, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
         pipe.close()
     _assert_no_live_workers(pipe)

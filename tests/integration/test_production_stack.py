@@ -1,6 +1,6 @@
 """Composition test: the full operations stack working together.
 
-Sizing -> auto-threshold calibration -> windowing -> report log +
+Sizing -> adaptive threshold control -> windowing -> report log +
 alert policy -> checkpoint/restore, all on one drifting workload.  Each
 piece has its own unit tests; this verifies they compose without
 stepping on each other's state.
@@ -15,11 +15,9 @@ from repro.core.criteria import Criteria
 from repro.core.inspect import describe, health_warnings
 from repro.core.persistence import load_filter, save_filter
 from repro.core.windowed import WindowedQuantileFilter
-from repro.detection.calibration import (
-    AutoThresholdCalibrator,
-    AutoThresholdFilter,
-)
+from repro.core.quantile_filter import QuantileFilter
 from repro.detection.reports import AlertPolicy, ReportLog
+from repro.detection.threshold import ThresholdControlLoop, ThresholdController
 from repro.streams.drift import DriftConfig, generate_drift_trace
 from repro.streams.trace_io import load_trace, save_trace
 
@@ -65,24 +63,27 @@ class TestFullStack:
         rng = random.Random(3)
         base = Criteria(delta=0.9, threshold=1.0, epsilon=5.0)
         log = ReportLog()
-        auto = AutoThresholdFilter(
-            base, memory_bytes=32 * 1024,
-            calibrator=AutoThresholdCalibrator(
-                target_abnormal_fraction=0.05,
-                recalibrate_every=2_000, min_samples=1_000,
+        filt = QuantileFilter(base, memory_bytes=32 * 1024, seed=4)
+        # Hold ~5 % of the traffic above T (q* = 0.95), moving T at most
+        # every 2k values once 1k have been seen.
+        loop = ThresholdControlLoop(
+            ThresholdController(
+                base.threshold, 0.95, backend="kll", deadband=0.0,
+                warmup_items=1_000, min_dwell_items=2_000,
             ),
-            seed=4,
+            filt,
         )
         for _ in range(25_000):
             key = rng.randrange(150)
             value = 400.0 if key < 4 else rng.uniform(0, 100)
-            report = auto.insert(key, value)
+            loop.observe(value)
+            report = filt.insert(key, value)
             if report is not None:
                 log.record(report)
-        # The calibrated monitor's noisiest keys are the injected ones.
+        # The controlled monitor's noisiest keys are the injected ones.
         noisiest = {summary.key for summary in log.top(4)}
         assert noisiest <= {0, 1, 2, 3}
-        assert 90.0 < auto.current_threshold < 400.0
+        assert 90.0 < filt.criteria.threshold < 400.0
 
     def test_checkpoint_mid_stack_and_inspect(self, tmp_path):
         """Checkpoint the inner filter of a running monitor, restore it,

@@ -1,12 +1,14 @@
-"""The shm chunk transport must be indistinguishable from pickle.
+"""The shm chunk transport must deliver every chunk intact.
 
-``transport="shm"`` changes *how* chunk bytes reach the workers — a
-shared-memory slot ring with credit-based reuse instead of pickled
-queue messages — and nothing else.  These tests pin that contract on a
-200k-item CAIDA-like trace: identical reported keys on both engines,
-slot-credit exhaustion and reuse under a deliberately tiny ring, the
-crash surface (a SIGKILLed worker must raise, not hang, and the shared
-blocks must be unlinked), and the ring arithmetic itself.
+The pipeline ships chunks to its process workers through a
+shared-memory slot ring with credit-based reuse.  These tests pin that
+contract on a 200k-item CAIDA-like trace: slot-credit exhaustion and
+reuse under a deliberately tiny ring must still report exactly what
+the in-process sharded reference reports, the crash surface holds (a
+SIGKILLed worker must raise, not hang, and the shared blocks must be
+unlinked), and the ring arithmetic itself is exact.  At the default
+ring size both engines must report exactly what the in-process
+reference reports.
 """
 
 import os
@@ -19,6 +21,7 @@ import pytest
 from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
 from repro.parallel.pipeline import ParallelPipeline, WorkerCrashError
+from repro.parallel.sharded import ShardedQuantileFilter
 from repro.parallel.transport import ShmSlotRing
 from repro.streams.caida_like import CaidaLikeConfig, generate_caida_like_trace
 
@@ -40,47 +43,48 @@ def _assert_no_live_workers(pipe):
 
 @pytest.mark.parametrize("engine", ["batch", "scalar"])
 def test_shm_matches_pickle_output(trace, engine):
-    results = {}
-    for transport in ("pickle", "shm"):
-        pipe = ParallelPipeline(
-            CRITERIA, 4, engine=engine, transport=transport, **GEOMETRY
-        )
-        results[transport] = pipe.run(trace.keys, trace.values)
-        _assert_no_live_workers(pipe)
+    # Named for the deleted pickle transport, whose output was the
+    # in-process sharded reference's; shm must match that reference.
+    # The pipeline's scalar workers count in floats, so the scalar
+    # reference must too.
+    counter = {"counter_kind": "float"} if engine == "scalar" else {}
+    sharded = ShardedQuantileFilter(
+        CRITERIA, 4, engine=engine, **counter, **GEOMETRY
+    )
+    expected = sharded.process(trace.keys, trace.values)
 
-    assert results["shm"].reported_keys == results["pickle"].reported_keys
-    assert results["shm"].items == results["pickle"].items == len(trace)
-    assert (
-        results["shm"].per_shard_items == results["pickle"].per_shard_items
-    )
-    assert (
-        results["shm"].per_shard_reports
-        == results["pickle"].per_shard_reports
-    )
+    pipe = ParallelPipeline(CRITERIA, 4, engine=engine, **GEOMETRY)
+    result = pipe.run(trace.keys, trace.values)
+    _assert_no_live_workers(pipe)
+
+    assert result.reported_keys == expected
+    assert result.items == len(trace)
+    assert result.per_shard_items == sharded.shard_items()
+    assert result.per_shard_reports == [
+        shard.report_count for shard in sharded.shards
+    ]
 
 
 def test_shm_slot_ring_wraps_under_tiny_capacity(trace):
     # queue_capacity=1 -> 3 slots per worker; 200k items in 4k chunks
     # forces every slot to be returned and reused many times over.
-    pickle_pipe = ParallelPipeline(
-        CRITERIA, 2, engine="batch", transport="pickle",
-        chunk_items=4_096, queue_capacity=1, **GEOMETRY,
-    )
-    expected = pickle_pipe.run(trace.keys, trace.values).reported_keys
+    sharded = ShardedQuantileFilter(CRITERIA, 2, engine="batch", **GEOMETRY)
+    expected = sharded.process(trace.keys, trace.values)
 
-    shm_pipe = ParallelPipeline(
-        CRITERIA, 2, engine="batch", transport="shm",
+    pipe = ParallelPipeline(
+        CRITERIA, 2, engine="batch",
         chunk_items=4_096, queue_capacity=1, **GEOMETRY,
     )
-    result = shm_pipe.run(trace.keys, trace.values)
-    _assert_no_live_workers(shm_pipe)
+    result = pipe.run(trace.keys, trace.values)
+    _assert_no_live_workers(pipe)
     assert result.reported_keys == expected
+    assert result.per_shard_items == sharded.shard_items()
     assert result.chunks == -(-len(trace) // 4_096)
 
 
 def test_shm_worker_crash_surfaces_error_and_unlinks(trace):
     pipe = ParallelPipeline(
-        CRITERIA, 3, engine="batch", transport="shm",
+        CRITERIA, 3, engine="batch",
         chunk_items=8_192, stall_timeout=20.0, **GEOMETRY,
     )
     pipe.start()
@@ -134,8 +138,13 @@ def test_slot_ring_roundtrip_and_validation():
 
 
 def test_transport_validation():
-    with pytest.raises(ParameterError):
-        ParallelPipeline(CRITERIA, 2, transport="carrier-pigeon", **GEOMETRY)
+    # shm is the only process transport: the keyword accepts it (or
+    # None) and rejects everything else, "pickle" included.
+    for transport in (None, "shm"):
+        ParallelPipeline(CRITERIA, 2, transport=transport, **GEOMETRY)
+    for transport in ("pickle", "carrier-pigeon"):
+        with pytest.raises(ParameterError, match="transport"):
+            ParallelPipeline(CRITERIA, 2, transport=transport, **GEOMETRY)
 
 
 def test_slot_ring_shutdown_is_idempotent():

@@ -30,7 +30,7 @@ PUBLIC_MODULES = [
     "repro.baselines.perkey",
     "repro.detection", "repro.detection.base",
     "repro.detection.ground_truth", "repro.detection.adapters",
-    "repro.detection.reports", "repro.detection.calibration",
+    "repro.detection.reports",
     "repro.detection.shadow",
     "repro.observability", "repro.observability.registry",
     "repro.observability.health", "repro.observability.server",
