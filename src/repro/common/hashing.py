@@ -112,6 +112,34 @@ def int_key_array(keys) -> np.ndarray:
     return keys.astype(np.int64, copy=False)
 
 
+def validate_chunk(keys, values):
+    """Check one bulk chunk against the engines' shared input contract.
+
+    Every bulk entry point (batch ``process``, the threads engine, its
+    ingest buffers, pipeline ``feed``, scalar and windowed
+    ``insert_many``) calls this first, so they reject the same inputs
+    with the same :class:`ParameterError`:
+
+    * float key arrays (the error hashing a float key raises);
+    * keys and values of different lengths;
+    * NaN values, whose Qweight is undefined.
+
+    Returns ``(keys, values)`` with ``values`` as a ``float64`` array;
+    ``keys`` are returned as given.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if isinstance(keys, np.ndarray) and keys.dtype.kind == "f" and keys.size:
+        raise _unsupported_key(keys.dtype.name)
+    if len(keys) != values.shape[0]:
+        raise ParameterError(
+            f"keys and values length mismatch: {len(keys)} vs "
+            f"{values.shape[0]}"
+        )
+    if np.isnan(values).any():
+        raise ParameterError("values contain NaN")
+    return keys, values
+
+
 def canonical_keys(keys: Iterable[KeyLike]) -> np.ndarray:
     """Vector form of :func:`canonical_key`: returns a ``uint64`` array.
 

@@ -149,6 +149,7 @@ def structural_probe(filt) -> dict:
         # Batch engine: flat numpy planes, float counters (no clamp).
         probe.update(
             engine="batch",
+            kernel=filt.kernel,
             num_buckets=int(filt.num_buckets),
             bucket_size=int(filt.bucket_size),
             fp_bits=int(filt.fp_bits),
@@ -184,6 +185,9 @@ def describe(qf: QuantileFilter, top_k: int = 5) -> str:
         f"epsilon={qf.criteria.epsilon} "
         f"(report at Qweight >= {qf.criteria.report_threshold:g})"
     )
+    # The batch engines say whether their exact tier runs compiled C;
+    # the scalar filter always runs Python.
+    lines.append(f"exact tier: {getattr(qf, 'kernel', 'python')} kernel")
     lines.append(
         f"candidate: {qf.candidate.num_buckets} buckets x "
         f"{qf.candidate.bucket_size} entries, "

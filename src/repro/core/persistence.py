@@ -234,7 +234,7 @@ def batch_filter_state(bf) -> dict:
         "arrays": {
             "candidate_fps": bf._cand_fps.copy(),
             "candidate_qws": bf._cand_qws.copy(),
-            "vague_rows": np.array(bf._rows, dtype=np.float64),
+            "vague_rows": bf._rows.copy(),
         },
     }
 
@@ -263,7 +263,7 @@ def restore_batch_filter(state: dict):
     )
     bf._cand_fps[...] = arrays["candidate_fps"]
     bf._cand_qws[...] = arrays["candidate_qws"]
-    bf._rows = [list(row) for row in arrays["vague_rows"].tolist()]
+    bf._rows[...] = arrays["vague_rows"]
     bf.items_processed = meta["items_processed"]
     bf.report_count = meta["report_count"]
     bf.candidate_hits = meta["candidate_hits"]

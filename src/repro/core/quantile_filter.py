@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Set
 
 from repro.common.errors import ParameterError
-from repro.common.hashing import FingerprintHasher, canonical_key, mix64
+from repro.common.hashing import (
+    FingerprintHasher,
+    canonical_key,
+    mix64,
+    validate_chunk,
+)
 from repro.common.memory import MemoryModel, split_budget
 from repro.observability.provenance import ReportProvenance
 from repro.core.candidate import CandidatePart
@@ -300,15 +305,10 @@ class QuantileFilter:
         instead of once per item, and the per-item call dispatches
         through one bound method.
         """
+        keys, values = validate_chunk(keys, values)
         if hasattr(keys, "tolist"):
             keys = keys.tolist()
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        if len(keys) != len(values):
-            raise ParameterError(
-                f"keys and values length mismatch: {len(keys)} vs "
-                f"{len(values)}"
-            )
+        values = values.tolist()
         insert = self.insert
         return [
             report

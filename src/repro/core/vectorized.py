@@ -33,6 +33,11 @@ from identical seed derivations, so the two implementations report the
 same keys item-for-item.  The throughput experiments (Fig. 8/10) use
 this engine; ``vectorize=False`` pins the legacy all-scalar chunk loop
 (kept as the benchmark baseline and as a debugging aid).
+
+The scalar tier and the fast tier's risky-slot replay run compiled C
+(:mod:`repro.core.kernel`, built once at import of this module) on the
+same planes; the Python loop below is the reference it is tested
+against bit for bit, and the fallback when no C compiler is present.
 """
 
 from __future__ import annotations
@@ -49,11 +54,13 @@ from repro.common.hashing import (
     _mix64_array,
     canonical_keys,
     mix64,
+    validate_chunk,
 )
 from repro.common.memory import bits_to_bytes, sizeof_counter, split_budget
 from repro.core.candidate import QWEIGHT_COUNTER_BYTES
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
+from repro.core.kernel import load as _load_kernel
 from repro.core.strategies import make_strategy
 from repro.core.vague import vague_key
 from repro.quantiles.base import RANK_EPS
@@ -73,6 +80,10 @@ DEFAULT_CHUNK_SIZE = 8_192
 #: ramp keeps them short until the buckets are populated.
 _RAMP_FIRST_CHUNK = 512
 
+#: The compiled exact tier, built (or found in the cache) here at import
+#: so no constructor pays for it; ``None`` when no compiler works.
+_KERNEL = _load_kernel()
+
 
 class BatchQuantileFilter:
     """Chunked, numpy-assisted QuantileFilter over integer-keyed streams.
@@ -86,9 +97,13 @@ class BatchQuantileFilter:
     matching the scalar filter's ``counter_kind="float"`` mode.
 
     ``vectorize=False`` disables the bucket-segmented fast tier and runs
-    every item through the scalar branch — the pre-optimisation
-    behaviour, kept for benchmarking and for bisecting equivalence
-    failures.
+    every item through the scalar branch's Python loop — the
+    pre-optimisation behaviour, kept for benchmarking, for bisecting
+    equivalence failures and as the compiled tier's reference.
+
+    :attr:`kernel` names the code running the exact tier: ``"c"`` (the
+    compiled :mod:`repro.core.kernel`) or ``"python"`` (the reference
+    loop: ``vectorize=False``, or no C compiler at import).
     """
 
     def __init__(
@@ -112,6 +127,7 @@ class BatchQuantileFilter:
         self.criteria = criteria
         self.chunk_size = chunk_size
         self.vectorize = vectorize
+        self._kernel = _KERNEL if vectorize else None
 
         self.bucket_size = bucket_size
         self.depth = depth
@@ -159,11 +175,11 @@ class BatchQuantileFilter:
         self._scratch_pos = np.zeros(
             self.num_buckets * bucket_size, dtype=np.float64
         )
-        # Vague part counters, one flat list per row (scalar-tier-only
-        # state: the vectorised tier never touches the vague part).
-        self._rows: List[List[float]] = [
-            [0.0] * self.width for _ in range(depth)
-        ]
+        # Vague part counters, one C-contiguous (depth, width) plane
+        # (scalar-tier-only state: the vectorised tier never touches
+        # it).  Always mutated in place: the compiled tier writes
+        # through its buffer.
+        self._rows = np.zeros((depth, self.width), dtype=np.float64)
 
         self.reported_keys: Set[int] = set()
         self.items_processed = 0
@@ -186,11 +202,8 @@ class BatchQuantileFilter:
     # ------------------------------------------------------------------
     def process(self, keys: np.ndarray, values: np.ndarray) -> Set[int]:
         """Run the whole stream; returns the deduplicated reported keys."""
+        keys, values = validate_chunk(keys, values)
         n = keys.shape[0]
-        if values.shape[0] != n:
-            raise ParameterError(
-                f"keys and values length mismatch: {n} vs {values.shape[0]}"
-            )
         # Ramp the chunk size up geometrically from a small first chunk:
         # at cold start every key misses the candidate part, sending the
         # whole first chunk to the scalar tier, so short early chunks
@@ -220,6 +233,11 @@ class BatchQuantileFilter:
         self.criteria = self.criteria.with_updates(threshold=float(threshold))
         self.retargets += 1
         return self.criteria
+
+    @property
+    def kernel(self) -> str:
+        """``"c"`` when the exact tier runs compiled, else ``"python"``."""
+        return "python" if self._kernel is None else "c"
 
     @property
     def _report_threshold_eff(self) -> float:
@@ -330,7 +348,6 @@ class BatchQuantileFilter:
             sink = self
         report_threshold = self._report_threshold_eff
         qws_flat = self._cand_qws.reshape(-1)
-        reported = sink.reported_keys
 
         slots = np.argmax(hit[fast_idx], axis=1)
         gslot = buckets[fast_idx] * self.bucket_size + slots
@@ -352,31 +369,66 @@ class BatchQuantileFilter:
             # stream order within each slot (stable sort).
             risky_pos = np.flatnonzero(risky)
             order = risky_pos[np.argsort(gslot[risky_pos], kind="stable")]
-            replay_slots = gslot[order].tolist()
-            replay_weights = fast_weights[order].tolist()
-            replay_keys = keys[fast_idx[order]].tolist()
-            current_slot = -1
-            qweight = 0.0
-            for pos in range(len(replay_slots)):
-                slot = replay_slots[pos]
-                if slot != current_slot:
-                    if current_slot >= 0:
-                        qws_flat[current_slot] = qweight
-                    current_slot = slot
-                    qweight = qws_flat[slot]
-                new_qw = qweight + replay_weights[pos]
-                if new_qw >= report_threshold:
-                    qweight = 0.0
-                    reported.add(replay_keys[pos])
-                    sink.report_count += 1
-                    sink.candidate_reports += 1
-                else:
-                    qweight = new_qw
-            if current_slot >= 0:
-                qws_flat[current_slot] = qweight
+            replay = (
+                self._replay_slots if self._kernel is None
+                else self._kernel.replay_slots
+            )
+            positions = replay(
+                self, gslot[order], fast_weights[order], report_threshold
+            )
+            self._credit(
+                sink, keys[fast_idx[order[positions]]], len(positions), 0
+            )
 
         if sink.stats_tallies:
             sink.candidate_hits += int(fast_idx.size)
+
+    @staticmethod
+    def _replay_slots(filt, slots, weights, report_threshold) -> List[int]:
+        """Python reference of the compiled risky-slot replay.
+
+        ``slots``/``weights`` are the risky items grouped by flat slot,
+        in stream order within each slot.  Returns the positions of
+        the items that reported.
+        """
+        qws_flat = filt._cand_qws.reshape(-1)
+        replay_slots = slots.tolist()
+        replay_weights = weights.tolist()
+        positions: List[int] = []
+        current_slot = -1
+        qweight = 0.0
+        for pos in range(len(replay_slots)):
+            slot = replay_slots[pos]
+            if slot != current_slot:
+                if current_slot >= 0:
+                    qws_flat[current_slot] = qweight
+                current_slot = slot
+                qweight = qws_flat[slot]
+            new_qw = qweight + replay_weights[pos]
+            if new_qw >= report_threshold:
+                qweight = 0.0
+                positions.append(pos)
+            else:
+                qweight = new_qw
+        if current_slot >= 0:
+            qws_flat[current_slot] = qweight
+        return positions
+
+    @staticmethod
+    def _credit(
+        sink, keys, candidate_reports, vague_reports, hits=0, vague=0,
+        swaps=0,
+    ) -> None:
+        """Add a pass's reported ``keys`` and event counts to ``sink``."""
+        if candidate_reports or vague_reports:
+            sink.reported_keys.update(keys.tolist())
+            sink.report_count += candidate_reports + vague_reports
+            sink.candidate_reports += candidate_reports
+            sink.vague_reports += vague_reports
+        if sink.stats_tallies:
+            sink.candidate_hits += hits
+            sink.vague_inserts += vague
+            sink.swaps += swaps
 
     def _scalar_pass(
         self,
@@ -389,11 +441,10 @@ class BatchQuantileFilter:
     ) -> None:
         """Algorithm 2's exact per-item branch over the ``idx`` subset.
 
-        This is the pre-vectorisation hot loop: it handles report
-        crossings, vacancy fills, replacement decisions and every
-        vague-part touch.  Touched buckets are staged into Python lists
-        (fast scalar indexing) and written back afterwards; vague
-        addressing is computed vectorised for just the subset.
+        Handles report crossings, vacancy fills, replacement decisions
+        and every vague-part touch, in stream order: through the
+        compiled kernel when one is loaded, else through the Python
+        reference loop (:meth:`_scalar_loop`).
 
         ``sink`` plays the same role as in :meth:`_fast_candidate_pass`:
         tallies and reported keys go to it instead of ``self`` when the
@@ -403,8 +454,29 @@ class BatchQuantileFilter:
             return
         if sink is None:
             sink = self
-        report_threshold = self._report_threshold_eff
-        key_list = keys[idx].tolist()
+        exact = (
+            self._scalar_loop if self._kernel is None
+            else self._kernel.scalar_pass
+        )
+        positions, (hits, vague, swaps, cand_reports, vague_reports) = exact(
+            self, fps, buckets, weights, idx, self._report_threshold_eff
+        )
+        self._credit(
+            sink, keys[idx[positions]], cand_reports, vague_reports,
+            hits, vague, swaps,
+        )
+
+    @staticmethod
+    def _scalar_loop(filt, fps, buckets, weights, idx, report_threshold):
+        """The pre-vectorisation hot loop: Python reference of the kernel.
+
+        Touched buckets and, from the first vague touch on, the vague
+        rows are staged into Python lists (fast scalar indexing) and
+        written back afterwards; vague addressing is computed
+        vectorised for just the subset.  Returns the positions (into
+        ``idx``) of reported items and the tallies: candidate hits,
+        vague inserts, swaps, candidate reports, vague reports.
+        """
         fp_list = fps[idx].tolist()
         bucket_list = buckets[idx].tolist()
         weight_list = weights[idx].tolist()
@@ -413,31 +485,30 @@ class BatchQuantileFilter:
         vkeys = _mix64_array(
             (buckets[idx].astype(np.uint64) << _VKEY_SHIFT) ^ fps[idx]
         )
-        cols = self._hashes.indices_batch(vkeys)
-        signs = self._signs.signs_batch(vkeys)
-        col_rows = [cols[r].tolist() for r in range(self.depth)]
-        sign_rows = [signs[r].tolist() for r in range(self.depth)]
+        cols = filt._hashes.indices_batch(vkeys)
+        signs = filt._signs.signs_batch(vkeys)
+        col_rows = cols.tolist()
+        sign_rows = signs.tolist()
 
         # Stage touched buckets as plain lists for the loop below — one
         # fancy-indexed gather + tolist per plane, not one per bucket.
         touched = np.unique(buckets[idx])
         touched_list = touched.tolist()
         cand_fps: Dict[int, List[int]] = dict(
-            zip(touched_list, self._cand_fps[touched].tolist())
+            zip(touched_list, filt._cand_fps[touched].tolist())
         )
         cand_qws: Dict[int, List[float]] = dict(
-            zip(touched_list, self._cand_qws[touched].tolist())
+            zip(touched_list, filt._cand_qws[touched].tolist())
         )
 
-        rows = self._rows
-        depth = self.depth
-        bucket_size = self.bucket_size
-        should_replace = self.strategy.should_replace
-        reported = sink.reported_keys
-        track = sink.stats_tallies
-        n_hits = n_vague = n_swaps = 0
+        rows = None
+        depth = filt.depth
+        bucket_size = filt.bucket_size
+        should_replace = filt.strategy.should_replace
+        positions: List[int] = []
+        n_hits = n_vague = n_swaps = n_cand_reports = n_vague_reports = 0
 
-        for i in range(len(key_list)):
+        for i in range(len(fp_list)):
             fp = fp_list[i]
             bucket = bucket_list[i]
             weight = weight_list[i]
@@ -450,14 +521,12 @@ class BatchQuantileFilter:
             for slot in range(bucket_size):
                 slot_fp = bucket_fps[slot]
                 if slot_fp == fp:
-                    if track:
-                        n_hits += 1
+                    n_hits += 1
                     new_qw = bucket_qws[slot] + weight
                     if new_qw >= report_threshold:
                         bucket_qws[slot] = 0.0
-                        reported.add(key_list[i])
-                        sink.report_count += 1
-                        sink.candidate_reports += 1
+                        positions.append(i)
+                        n_cand_reports += 1
                     else:
                         bucket_qws[slot] = new_qw
                     matched = True
@@ -472,16 +541,16 @@ class BatchQuantileFilter:
                 bucket_fps[free] = fp
                 if weight >= report_threshold:
                     bucket_qws[free] = 0.0
-                    reported.add(key_list[i])
-                    sink.report_count += 1
-                    sink.candidate_reports += 1
+                    positions.append(i)
+                    n_cand_reports += 1
                 else:
                     bucket_qws[free] = weight
                 continue
 
             # Case 3: vague part (fused insert + median estimate).
-            if track:
-                n_vague += 1
+            n_vague += 1
+            if rows is None:
+                rows = filt._rows.tolist()
             ests = []
             for r in range(depth):
                 col = col_rows[r][i]
@@ -496,9 +565,8 @@ class BatchQuantileFilter:
             if estimate >= report_threshold:
                 for r in range(depth):
                     rows[r][col_rows[r][i]] -= sign_rows[r][i] * estimate
-                reported.add(key_list[i])
-                sink.report_count += 1
-                sink.vague_reports += 1
+                positions.append(i)
+                n_vague_reports += 1
                 estimate = 0.0
 
             # Candidate election against the bucket minimum.
@@ -509,12 +577,11 @@ class BatchQuantileFilter:
                     min_qw = bucket_qws[slot]
                     min_slot = slot
             if should_replace(estimate, min_qw):
-                if track:
-                    n_swaps += 1
+                n_swaps += 1
                 evicted_fp = bucket_fps[min_slot]
                 evicted_vkey = vague_key(evicted_fp, bucket)
-                evicted_cols = self._hashes.indices(evicted_vkey)
-                evicted_signs = self._signs.signs(evicted_vkey)
+                evicted_cols = filt._hashes.indices(evicted_vkey)
+                evicted_signs = filt._signs.signs(evicted_vkey)
                 for r in range(depth):
                     rows[r][evicted_cols[r]] += evicted_signs[r] * min_qw
                 if estimate != 0.0:
@@ -523,17 +590,17 @@ class BatchQuantileFilter:
                 bucket_fps[min_slot] = fp
                 bucket_qws[min_slot] = estimate
 
-        self._cand_fps[touched] = np.asarray(
+        filt._cand_fps[touched] = np.asarray(
             [cand_fps[b] for b in touched_list], dtype=np.uint64
         )
-        self._cand_qws[touched] = np.asarray(
+        filt._cand_qws[touched] = np.asarray(
             [cand_qws[b] for b in touched_list], dtype=np.float64
         )
-
-        if track:
-            sink.candidate_hits += n_hits
-            sink.vague_inserts += n_vague
-            sink.swaps += n_swaps
+        if rows is not None:
+            filt._rows[...] = rows
+        return positions, (
+            n_hits, n_vague, n_swaps, n_cand_reports, n_vague_reports
+        )
 
     # ------------------------------------------------------------------
     # accounting

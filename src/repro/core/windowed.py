@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Hashable, Optional, Set
 
 from repro.common.errors import ParameterError
+from repro.common.hashing import validate_chunk
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter, Report
 
@@ -116,15 +117,10 @@ class WindowedQuantileFilter:
         :meth:`QuantileFilter.insert_many
         <repro.core.quantile_filter.QuantileFilter.insert_many>`.
         """
+        keys, values = validate_chunk(keys, values)
         if hasattr(keys, "tolist"):
             keys = keys.tolist()
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        if len(keys) != len(values):
-            raise ParameterError(
-                f"keys and values length mismatch: {len(keys)} vs "
-                f"{len(values)}"
-            )
+        values = values.tolist()
         insert = self.insert
         return [
             report

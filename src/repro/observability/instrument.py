@@ -89,6 +89,10 @@ FILTER_METRIC_HELP = {
     "qf_thread_flushes_total":
         "Striped sub-chunk commits completed by updater threads "
         "(thread-parallel engine).",
+    "qf_build_info":
+        "1 per filter; the kernel label names the code running "
+        "Algorithm 2's exact tier (c = compiled, python = reference "
+        "loop), so aggregates count the shards per kernel.",
 }
 
 #: Latency-histogram families registered by the pipeline and its
@@ -284,6 +288,12 @@ def observe_filter(
     gauge("qf_estimated_bytes", lambda: filt.nbytes)
     gauge("qf_threshold", lambda: filt.criteria.threshold)
     counter("qf_retargets_total", lambda: getattr(filt, "retargets", 0))
+    registry.gauge_fn(
+        "qf_build_info", lambda: 1.0,
+        help=FILTER_METRIC_HELP["qf_build_info"],
+        labels={**(labels or {}), "kernel": getattr(filt, "kernel", "python")},
+        agg=_agg_for("qf_build_info"),
+    )
 
     if hasattr(filt, "candidate_reports"):
         # Scalar QuantileFilter or BatchQuantileFilter.

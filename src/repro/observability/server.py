@@ -45,7 +45,8 @@ the HTTP threads only *read* the engine's cached state.
 >>> source = FilterServeSource(filt)
 >>> for i in range(100):
 ...     _ = filt.insert(i % 7, 10.0)
->>> print(source.metrics_text().splitlines()[0])
+>>> lines = source.metrics_text().splitlines()
+>>> print(next(line for line in lines if "qf_candidate_entries" in line))
 # HELP qf_candidate_entries Occupied candidate slots.
 >>> source.refresh().verdict
 'ok'

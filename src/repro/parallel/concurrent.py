@@ -60,11 +60,14 @@ test_property_concurrent_equivalence.py``)
   touch disjoint memory (they commute), vague-touching commits are
   totally ordered by the vague lock, and tickets extend both orders.
 
-Throughput: CPython's GIL means the win over ``pipeline_shm`` comes
-from skipping the per-chunk serialize/copy/deserialize entirely (the
-numpy passes release the GIL for stretches, but that is a bonus, not
-the design's load-bearing wall) — see the equal-core head-to-head in
-``benchmarks/test_throughput_smoke.py`` and ``docs/performance.md``.
+Throughput: the win over ``pipeline_shm`` comes from skipping the
+per-chunk serialize/copy/deserialize entirely.  The exact tier runs in
+compiled C (:mod:`repro.core.kernel`) with the GIL released, so one
+thread's exact-tier commit (under its stripe and the vague lock) no
+longer stalls the other threads' hashing and fast-tier passes; the
+numpy passes release the GIL for stretches too.  See the equal-core
+head-to-head in ``benchmarks/test_throughput_smoke.py`` and
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from typing import List, Optional, Set
 import numpy as np
 
 from repro.common.errors import ParameterError
-from repro.common.hashing import int_key_array
+from repro.common.hashing import int_key_array, validate_chunk
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
 from repro.core.vectorized import DEFAULT_CHUNK_SIZE, BatchQuantileFilter
@@ -248,8 +251,10 @@ class ConcurrentQuantileFilter:
         Chunks through the striped commit path exactly as a lone
         updater thread would; returns the deduplicated reported keys.
         """
-        trace = Trace(int_key_array(keys), np.asarray(values))
-        for chunk_keys, chunk_values in trace.iter_chunks(self.flush_items):
+        keys, values = validate_chunk(int_key_array(keys), values)
+        for chunk_keys, chunk_values in Trace(keys, values).iter_chunks(
+            self.flush_items
+        ):
             self._flush(chunk_keys, chunk_values)
         return self.reported_keys
 
@@ -460,7 +465,7 @@ class ConcurrentQuantileFilter:
             )
             twin._cand_fps[...] = core._cand_fps
             twin._cand_qws[...] = core._cand_qws
-            twin._rows = [list(row) for row in core._rows]
+            twin._rows[...] = core._rows
             for sink in self._sinks:
                 twin.reported_keys |= sink.reported_keys
                 twin.report_count += sink.report_count
@@ -521,6 +526,10 @@ class ConcurrentQuantileFilter:
     @property
     def strategy(self):
         return self._core.strategy
+
+    @property
+    def kernel(self) -> str:
+        return self._core.kernel
 
     @property
     def _rows(self):
@@ -669,8 +678,7 @@ class ThreadIngest:
         oversized inputs stream through in ``flush_items``-sized chunks
         via :meth:`~repro.streams.model.Trace.iter_chunks`.
         """
-        keys = int_key_array(keys)
-        values = np.asarray(values, dtype=np.float64)
+        keys, values = validate_chunk(int_key_array(keys), values)
         if keys.shape[0] == 0:
             return
         self._fold_scalar_buffer()

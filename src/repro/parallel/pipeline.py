@@ -77,7 +77,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.common.errors import ReproError, ParameterError
-from repro.common.hashing import int_key_array
+from repro.common.hashing import int_key_array, validate_chunk
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
@@ -898,13 +898,7 @@ class ParallelPipeline:
                 "pipeline already finished; build a new ParallelPipeline "
                 "to process another stream"
             )
-        keys = int_key_array(keys)
-        values = np.asarray(values, dtype=np.float64)
-        if keys.shape[0] != values.shape[0]:
-            raise ParameterError(
-                f"keys and values length mismatch: {keys.shape[0]} vs "
-                f"{values.shape[0]}"
-            )
+        keys, values = validate_chunk(int_key_array(keys), values)
         if not self._started:
             self.start()
         feed_start = time.perf_counter() if self.tracer is not None else 0.0

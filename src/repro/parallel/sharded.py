@@ -306,7 +306,7 @@ class ShardedQuantileFilter:
             for shard in self.shards:
                 shard._cand_fps[...] = 0
                 shard._cand_qws[...] = 0.0
-                shard._rows = [[0.0] * shard.width for _ in range(shard.depth)]
+                shard._rows[...] = 0.0
 
     # ------------------------------------------------------------------
     # aggregation
@@ -408,7 +408,7 @@ def batch_filter_to_scalar(batch: BatchQuantileFilter) -> QuantileFilter:
     )
     scalar.candidate._fps[...] = np.asarray(batch._cand_fps, dtype=np.uint64)
     scalar.candidate._qws[...] = np.asarray(batch._cand_qws, dtype=np.float64)
-    scalar.vague.sketch.counters.data = np.asarray(
+    scalar.vague.sketch.counters.data = np.array(
         batch._rows, dtype=scalar.vague.sketch.counters.data.dtype
     )
     scalar.reported_keys = set(batch.reported_keys)

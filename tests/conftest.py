@@ -22,6 +22,19 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
+def python_kernel(monkeypatch):
+    """Batch filters built in the test run the Python exact tier.
+
+    Stands in for a host without a C compiler: the loaded library is
+    hidden from :mod:`repro.core.vectorized`, exactly as when its build
+    fails at import.
+    """
+    import repro.core.vectorized as vectorized
+
+    monkeypatch.setattr(vectorized, "_KERNEL", None)
+
+
+@pytest.fixture
 def default_criteria() -> Criteria:
     """The paper's default evaluation criteria with a round threshold."""
     return Criteria(delta=0.95, threshold=200.0, epsilon=30.0)

@@ -186,3 +186,18 @@ def test_router_is_bucket_affine():
         # Vectorised routing matches the scalar path element-wise.
         expected = [router.shard_of(key) for key in keys.tolist()]
         assert router.shard_ids_batch(keys).tolist() == expected
+
+
+def test_scalar_twin_does_not_share_the_batch_vague_plane():
+    from repro.core.vectorized import BatchQuantileFilter
+    from repro.parallel.sharded import batch_filter_to_scalar
+
+    criteria = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
+    batch = BatchQuantileFilter(criteria, num_buckets=2, vague_width=16)
+    rng = np.random.default_rng(0)
+    batch.process(rng.integers(0, 200, 2_000), rng.uniform(0, 300, 2_000))
+    before = batch._rows.copy()
+    twin = batch_filter_to_scalar(batch)
+    for key in range(200):
+        twin.insert(key, 500.0)
+    assert np.array_equal(batch._rows, before)

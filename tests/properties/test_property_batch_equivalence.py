@@ -62,3 +62,11 @@ def test_batch_equals_scalar_everywhere(scenario):
     assert batch.reported_keys == scalar.reported_keys
     assert batch.report_count == scalar.report_count
     assert batch.items_processed == scalar.items_processed
+
+
+# The same properties on the no-compiler fallback: the exact tier runs
+# the Python reference loop instead of the compiled kernel.
+
+
+def test_batch_equals_scalar_python_kernel(python_kernel):
+    test_batch_equals_scalar_everywhere()

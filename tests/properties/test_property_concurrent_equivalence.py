@@ -213,3 +213,19 @@ def test_witness_replay_reproduces_racing_threads_bit_exactly(
 
     replayed = replay_witness(cqf.witness, cqf)
     _assert_same_state(cqf, replayed)
+
+
+# The same properties on the no-compiler fallback: the exact tier runs
+# the Python reference loop instead of the compiled kernel.
+
+
+def test_single_ingest_python_kernel(python_kernel):
+    test_single_ingest_equals_stripe_sorted_batch()
+
+
+def test_racing_affine_threads_python_kernel(python_kernel):
+    test_racing_bucket_affine_threads_match_batch_when_no_overflow()
+
+
+def test_witness_replay_python_kernel(python_kernel):
+    test_witness_replay_reproduces_racing_threads_bit_exactly()

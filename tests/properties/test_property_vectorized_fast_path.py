@@ -99,4 +99,12 @@ def test_fast_tier_bit_exact_vs_legacy_and_scalar(scenario):
     # tier preserves the scalar engine's left-to-right addition order.
     assert np.array_equal(vectorized._cand_fps, legacy._cand_fps)
     assert np.array_equal(vectorized._cand_qws, legacy._cand_qws)
-    assert vectorized._rows == legacy._rows
+    assert np.array_equal(vectorized._rows, legacy._rows)
+
+
+# The same properties on the no-compiler fallback: the exact tier runs
+# the Python reference loop instead of the compiled kernel.
+
+
+def test_fast_tier_python_kernel(python_kernel):
+    test_fast_tier_bit_exact_vs_legacy_and_scalar()

@@ -110,3 +110,11 @@ def test_scalar_per_item_tap_replays(scenario):
         rec.insert(key, value)
     result = replay_bundle(json.loads(json.dumps(rec.bundle("property"))))
     assert result.ok, result.mismatches
+
+
+# The same properties on the no-compiler fallback: the exact tier runs
+# the Python reference loop instead of the compiled kernel.
+
+
+def test_replay_capture_python_kernel(python_kernel):
+    test_replay_reproduces_capture_bit_identically()

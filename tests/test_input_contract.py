@@ -1,10 +1,12 @@
 """One input contract across the engines' bulk entry points.
 
-Every integer-keyed bulk path rejects float keys with the
+Every bulk path checks its chunk with
+:func:`repro.common.hashing.validate_chunk`: float keys raise the
 ``ParameterError`` the hashing of a float key raises in the scalar and
-batch engines, instead of truncating them to int64; key and value
+batch engines, instead of being truncated to int64; key and value
 arrays of different lengths raise instead of silently processing the
-shorter prefix.
+shorter prefix; NaN values, whose Qweight is undefined, raise instead
+of being weighed as ``<= T``.
 """
 
 import numpy as np
@@ -58,7 +60,9 @@ def test_float_keys_rejected(entry):
 
 
 @pytest.mark.parametrize(
-    "entry", ["scalar", "windowed", "batch", "pipeline-batch"]
+    "entry",
+    ["scalar", "windowed", "batch", "pipeline-batch", "concurrent",
+     "concurrent-ingest", "pipeline-threads"],
 )
 def test_length_mismatch_rejected(entry):
     bulk = BULK_ENTRY_POINTS[entry]()
@@ -66,3 +70,28 @@ def test_length_mismatch_rejected(entry):
         ParameterError, match="keys and values length mismatch: 3 vs 1"
     ):
         bulk(np.array([1, 2, 3]), np.array([400.0]))
+
+
+@pytest.mark.parametrize("entry", sorted(BULK_ENTRY_POINTS))
+@pytest.mark.parametrize("where", [0, 2])
+def test_nan_values_rejected(entry, where):
+    bulk = BULK_ENTRY_POINTS[entry]()
+    values = np.array([400.0, 50.0, 400.0])
+    values[where] = np.nan
+    with pytest.raises(ParameterError, match="values contain NaN"):
+        bulk(np.array([1, 2, 3]), values)
+
+
+@pytest.mark.parametrize("entry", sorted(BULK_ENTRY_POINTS))
+def test_infinite_values_accepted(entry):
+    # +-inf have a well-defined side of T, so they are valid values.
+    bulk = BULK_ENTRY_POINTS[entry]()
+    bulk(np.array([1, 2]), np.array([np.inf, -np.inf]))
+
+
+def test_nan_rejected_before_any_state_changes():
+    filt = BatchQuantileFilter(CRITERIA, **GEOMETRY)
+    with pytest.raises(ParameterError, match="values contain NaN"):
+        filt.process(np.arange(10), np.r_[np.full(9, 400.0), np.nan])
+    assert filt.items_processed == 0
+    assert not filt._cand_fps.any()

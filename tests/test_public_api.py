@@ -25,6 +25,7 @@ PUBLIC_MODULES = [
     "repro.core.quantile_filter", "repro.core.naive",
     "repro.core.vectorized", "repro.core.multi_criteria",
     "repro.core.windowed", "repro.core.persistence", "repro.core.inspect",
+    "repro.core.kernel",
     "repro.baselines", "repro.baselines.squad",
     "repro.baselines.sketchpolymer", "repro.baselines.histsketch",
     "repro.baselines.perkey",
